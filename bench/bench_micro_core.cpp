@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // and the SCDA control plane: event queue churn, rate-metric math, a full
-// allocator tick, the hierarchy max-min pass, FES dispatch, packet
-// forwarding and topology construction.
+// allocator tick (on the 498-link tree and on a k=32 fat-tree), the
+// hierarchy max-min pass, FES dispatch, packet forwarding and topology
+// construction.
 #include <benchmark/benchmark.h>
 
 #include "core/hierarchy.h"
@@ -190,6 +191,38 @@ void BM_AllocatorTick(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * flows);
 }
 BENCHMARK(BM_AllocatorTick)->Arg(100)->Arg(1000)->Arg(5000);
+
+void BM_AllocatorTickFatTree(benchmark::State& state) {
+  // The fabric-size axis: a k=32 fat-tree (49,664 links, analytic
+  // server_path) with 0 flows (idle) or 2,500 (the live count of the
+  // fluid_fattree_k32 loaded phase). Items are links covered per tick, so
+  // a tick that walked every link and one that skips the idle ones compare
+  // on the same scale.
+  const auto flows = static_cast<int>(state.range(0));
+  sim::Simulator sim(1);
+  net::FatTreeConfig tc;
+  tc.k = 32;
+  tc.n_clients = 0;
+  tc.build_routes = false;
+  net::FatTree ft(sim, tc);
+  core::ScdaParams params;
+  core::RateAllocator alloc(ft.net(), params);
+  sim::Rng rng(2);
+  const auto n_servers = static_cast<std::int64_t>(ft.servers().size());
+  for (int f = 0; f < flows; ++f) {
+    const auto src =
+        static_cast<std::size_t>(rng.uniform_int(0, n_servers - 1));
+    auto dst = static_cast<std::size_t>(rng.uniform_int(0, n_servers - 2));
+    if (dst >= src) ++dst;
+    alloc.register_flow_on_path(net::FlowId{f},
+                                ft.server_path(src, dst, net::FlowId{f}));
+  }
+  alloc.tick();  // the first round settles every link
+  for (auto _ : state) alloc.tick();
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(ft.net().link_count()));
+}
+BENCHMARK(BM_AllocatorTickFatTree)->Arg(0)->Arg(2500);
 
 void BM_HierarchyUpdate(benchmark::State& state) {
   sim::Simulator sim(1);

@@ -20,6 +20,12 @@ RateAllocator::RateAllocator(net::Network& net, const ScdaParams& params)
     links_[l].rate = params_.alpha * c;
     links_[l].gamma = params_.alpha * c;
   }
+  // Every link starts active: the first tick settles each one onto its
+  // idle fixed point (or its loaded rate) before any is skipped.
+  active_.assign((links_.size() + 63) / 64, ~std::uint64_t{0});
+  if (links_.size() % 64 != 0)
+    active_.back() = (std::uint64_t{1} << (links_.size() % 64)) - 1;
+  net_.track_dirty_links();
 }
 
 std::size_t RateAllocator::find_row(net::FlowId id) const noexcept {
@@ -84,6 +90,8 @@ void RateAllocator::register_flow_on_path(net::FlowId id,
   // keep their pinned zero rate.
   for (const net::LinkId l : path_[s]) {
     auto& st = links_[l.index()];
+    ++st.flows;
+    activate(l.index());
     st.reserved += reserved;
     st.nhat += priority;
     if (st.down) continue;
@@ -102,8 +110,12 @@ void RateAllocator::unregister_flow(net::FlowId id) {
   const std::size_t row = find_row(id);
   if (row == kNoRow) return;
   const std::uint32_t s = by_id_[row].slot;
-  for (const net::LinkId l : path_[s])
-    links_[l.index()].reserved -= reserved_[s];
+  for (const net::LinkId l : path_[s]) {
+    auto& st = links_[l.index()];
+    st.reserved -= reserved_[s];
+    --st.flows;
+    activate(l.index());
+  }
   path_[s].clear();  // keeps capacity for the next flow on this slot
   r_other_send_[s] = nullptr;  // release captured state eagerly
   r_other_recv_[s] = nullptr;
@@ -142,6 +154,7 @@ sim::BitRate RateAllocator::path_rate(
 
 void RateAllocator::set_link_up(net::LinkId l, bool up) {
   auto& st = links_.at(l.index());
+  activate(l.index());
   st.down = !up;
   if (!up) {
     st.rate = sim::BitRate{};
@@ -183,10 +196,13 @@ void RateAllocator::tick() {
   ++control_stats_.ticks;
   control_stats_.flow_updates += by_id_.size();
   control_stats_.link_updates += links_.size();
+  // Links whose switch counters moved since the last tick rejoin the set.
+  net_.take_dirty_links(active_);
 
-  // Pass 1: effective capacity per link from the switch counters Q(t)
-  // (and L(t) for the simplified metric).
-  for (std::size_t l = 0; l < links_.size(); ++l) {
+  // Pass 1: effective capacity per active link from the switch counters
+  // Q(t) (and L(t) for the simplified metric). An inactive link already
+  // holds exactly what this pass would write: gamma = alpha*C - 0, S = 0.
+  for_each_active([&](std::size_t l) {
     auto& st = links_[l];
     net::Link& link = net_.link(net::LinkId::from_index(l));
     st.down = !link.up();
@@ -195,14 +211,14 @@ void RateAllocator::tick() {
       st.rate = sim::BitRate{};
       st.rate_sum = sim::BitRate{};
       st.share_sum = sim::BitRate{};
-      continue;
+      return;
     }
     st.gamma = effective_capacity(link.capacity(),
                                   sim::ByteCount{link.queue_bytes()}.bits(),
                                   tau, params_.alpha, params_.beta);
     st.rate_sum = sim::BitRate{};
     st.share_sum = sim::BitRate{};
-  }
+  });
 
   // Pass 2: per-flow end-to-end allocation from the *previous* interval's
   // link rates (this is the information the top-down RA pass delivered to
@@ -254,26 +270,29 @@ void RateAllocator::tick() {
   // Pass 3: new per-link rates (eq. 2 or eq. 5) over the shareable capacity
   // (capacity minus explicit reservations, section IV-C), plus SLA checks
   // against the full effective capacity (section IV-A).
-  for (std::size_t l = 0; l < links_.size(); ++l) {
+  for_each_active([&](std::size_t l) {
+    ++control_stats_.links_visited;
     auto& st = links_[l];
     net::Link& link = net_.link(net::LinkId::from_index(l));
     if (st.down) {
       // Pinned at zero while down; drain the interval counter so stale
       // pre-failure arrivals don't distort the first post-recovery round.
+      // Down links stay active until they recover.
       st.nhat = 0;
       (void)link.take_interval_arrived_bytes();
-      continue;
+      return;
     }
     const sim::BitRate shareable =
         sim::max(st.gamma - st.reserved, params_.min_rate);
 
+    std::int64_t arrived_bytes = 0;
     if (params_.metric == RateMetricKind::kExact) {
       st.nhat = effective_flows(st.share_sum, st.rate);
       st.rate = exact_rate(shareable, st.share_sum, st.rate,
                            params_.min_rate);
     } else {
-      const sim::BitCount l_bits =
-          sim::ByteCount{link.take_interval_arrived_bytes()}.bits();
+      arrived_bytes = link.take_interval_arrived_bytes();
+      const sim::BitCount l_bits = sim::ByteCount{arrived_bytes}.bits();
       st.nhat = effective_flows(
           sim::BitRate{static_cast<double>(l_bits.bits()) / tau}, st.rate);
       st.rate =
@@ -281,7 +300,8 @@ void RateAllocator::tick() {
                           params_.min_rate);
     }
 
-    if (sla_violated(st.rate_sum, st.gamma)) {
+    const bool violated = sla_violated(st.rate_sum, st.gamma);
+    if (violated) {
       ++st.sla_violations;
       ++total_sla_violations_;
       if (obs::TraceRecorder* tr = obs::tracer_of(net_.sim())) {
@@ -293,7 +313,15 @@ void RateAllocator::tick() {
       if (on_sla_)
         on_sla_(net::LinkId::from_index(l), st.rate_sum, st.gamma, now);
     }
-  }
+
+    // Idle this round: no flows, empty queue, no arrivals. gamma is
+    // alpha*C - 0, S and N-hat are 0, so R = max(gamma - M, min_rate) no
+    // longer depends on the previous R and the next round would write the
+    // same bits. Leave the set until something marks the link again.
+    if (st.flows == 0 && link.queue_bytes() == 0 && arrived_bytes == 0 &&
+        !violated)
+      active_[l / 64] &= ~(std::uint64_t{1} << (l % 64));
+  });
 
   if (obs::TraceRecorder* tr = obs::tracer_of(net_.sim())) {
     tr->instant(now, "control", "ra_round", obs::kTrackControl,

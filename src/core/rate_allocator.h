@@ -1,8 +1,8 @@
 // RateAllocator: the per-link allocation engine behind the RM/RA hierarchy.
 //
-// Every control interval tau it recomputes, for every link, the per-flow
-// fair rate R_l(t) (eq. 2 exact, or eq. 5 simplified) and, for every
-// registered flow, its end-to-end allocation
+// Every control interval tau it recomputes, for every active link, the
+// per-flow fair rate R_l(t) (eq. 2 exact, or eq. 5 simplified) and, for
+// every registered flow, its end-to-end allocation
 //
 //     r_j = min(M_j + p_j * min_{l in path} R_l, R_other_send, R_other_recv)
 //
@@ -13,9 +13,19 @@
 //
 // The engine is topology-agnostic (section IX): it only needs each flow's
 // path, which the tree RM/RA hierarchy (hierarchy.h) derives from routing.
+//
+// A link with no registered flows, an empty queue and no arrivals sits at
+// the exact fixed point R = max(alpha*C - M, min_rate): recomputing it
+// yields the same bits. Such a link leaves the active set and is skipped
+// until one of its inputs changes — a flow registers or unregisters on it,
+// set_link_up() is called, or the link itself reports a counter change
+// through the Network's dirty-link flags (docs/perf.md, "Active-link
+// control tick"). A tick therefore costs O(active links + flow hops), not
+// O(fabric size), with outputs identical to a walk over every link.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -107,8 +117,9 @@ class RateAllocator {
   /// docs/scenarios.md). A down link advertises zero per-flow rate and zero
   /// effective capacity, and every flow whose path crosses it is allocated
   /// exactly 0 — bypassing the min-rate floor — so fluid flows park instead
-  /// of stranding their completion events. tick() also re-reads Link::up()
-  /// each round, so direct Link toggles converge within one interval.
+  /// of stranding their completion events. The next tick() re-reads
+  /// Link::up() for the link; a direct Link::set_up() marks the link dirty,
+  /// so it converges within one interval too.
   void set_link_up(net::LinkId l, bool up);
   /// The flow's current end-to-end allocation r_j.
   [[nodiscard]] sim::BitRate flow_rate(net::FlowId id) const;
@@ -129,7 +140,12 @@ class RateAllocator {
   struct ControlStats {
     std::uint64_t ticks = 0;          ///< RM/RA rounds executed
     std::uint64_t flow_updates = 0;   ///< per-flow rate recomputations
-    std::uint64_t link_updates = 0;   ///< per-link R_l recomputations
+    /// Per-link R_l recomputations of the modelled protocol: every RA
+    /// reports every round (ticks x links), whatever the simulator skips.
+    std::uint64_t link_updates = 0;
+    /// Links the simulator actually recomputed (the active set per tick);
+    /// the idle remainder stayed at its fixed point.
+    std::uint64_t links_visited = 0;
   };
   [[nodiscard]] const ControlStats& control_stats() const noexcept {
     return control_stats_;
@@ -162,9 +178,30 @@ class RateAllocator {
     sim::BitRate share_sum{}; ///< S minus reserved portions (shared demand)
     sim::BitRate reserved{};  ///< sum of M_j over flows crossing the link
     double nhat = 0;          ///< effective flow count (dimensionless)
+    std::uint32_t flows = 0;  ///< registered flows whose path crosses it
     bool down = false;        ///< link failed: rate/gamma pinned to zero
     std::uint64_t sla_violations = 0;
   };
+
+  /// Put link `l` in the active set: the next tick recomputes it.
+  void activate(std::size_t l) noexcept {
+    active_[l / 64] |= std::uint64_t{1} << (l % 64);
+  }
+  /// Visit the active links in ascending index. Bits that `fn` sets above
+  /// the current link are picked up by the same walk, so a callback that
+  /// activates a later link (an SLA handler registering a flow) sees it
+  /// recomputed this round, as a walk over every link would.
+  template <typename Fn>
+  void for_each_active(Fn&& fn) {
+    for (std::size_t w = 0; w < active_.size(); ++w) {
+      std::uint64_t bits = active_[w];
+      while (bits != 0) {
+        const int b = std::countr_zero(bits);
+        fn(w * 64 + static_cast<std::size_t>(b));
+        bits = active_[w] & ~((std::uint64_t{2} << b) - 1);
+      }
+    }
+  }
 
   // --- dense struct-of-arrays flow table -------------------------------------
   // Flow state lives in slot-parallel arrays (the dense-table layout that
@@ -194,6 +231,10 @@ class RateAllocator {
   net::Network& net_;
   ScdaParams params_;
   std::vector<LinkState> links_;
+  /// Active-link bitset (bit l%64 of word l/64): links whose state may
+  /// differ from their idle fixed point. tick() first ORs in the Network's
+  /// dirty-link set.
+  std::vector<std::uint64_t> active_;
 
   std::vector<IndexEntry> by_id_;          ///< sorted ascending by flow id
   std::vector<std::uint32_t> free_slots_;  ///< recycled table rows

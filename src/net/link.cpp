@@ -25,6 +25,7 @@ bool Link::enqueue(Packet&& p) {
     return false;
   }
   interval_arrived_bytes_ += p.size_bytes;
+  mark_dirty();
   if (loss_probability_ > 0 && loss_rng_ != nullptr &&
       loss_rng_->bernoulli(loss_probability_)) {
     ++stats_.dropped_packets;

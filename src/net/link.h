@@ -89,6 +89,7 @@ class Link {
   /// Raise/lower the link capacity at runtime; models switching reserve or
   /// backup capacity into a congested path (paper section IV-A mitigation).
   void set_capacity(sim::BitRate c) noexcept {
+    mark_dirty();
     if (c > sim::BitRate{}) capacity_ = c;
   }
   // --- up/down state (failure injection; docs/scenarios.md) ---------------
@@ -96,7 +97,10 @@ class Link {
   /// treated as zero-capacity by the rate allocator, parking fluid flows.
   /// Packets already transmitted keep propagating: a physical cut loses
   /// what is on the wire *behind* the cut, and the queue is behind it.
-  void set_up(bool up) noexcept { up_ = up; }
+  void set_up(bool up) noexcept {
+    mark_dirty();
+    up_ = up;
+  }
   [[nodiscard]] bool up() const noexcept { return up_; }
 
   /// Propagation delay as exact simulation time (the value every delivery
@@ -137,6 +141,7 @@ class Link {
     stats_.fluid_bytes += static_cast<std::uint64_t>(bytes);
     stats_.tx_bytes += static_cast<std::uint64_t>(bytes);
     interval_arrived_bytes_ += bytes;
+    mark_dirty();
   }
   /// A fluid flow starts/stops crossing the link (no queue entry).
   void fluid_flow_join() noexcept { ++fluid_flows_; }
@@ -165,6 +170,14 @@ class Link {
            (capacity_.bps() * elapsed_s);
   }
 
+  // --- dirty-link set (docs/perf.md, "Active-link control tick") ---------
+  /// Point this link at its flag in the owning Network's dirty-link set.
+  /// Every change to a counter the rate allocator reads (offered bytes,
+  /// fluid bytes, up/down, capacity) sets the flag, so the allocator can
+  /// leave idle links at their fixed point instead of re-walking them. An
+  /// unbound link writes into a private byte.
+  void bind_dirty_flag(std::uint8_t* flag) noexcept { dirty_flag_ = flag; }
+
   /// Delay until the head of the propagation queue is due. Deadlines are
   /// exact integer-nanosecond sums of the same now + prop_delay values the
   /// timers were armed with, so a head that is past due is a scheduling
@@ -185,6 +198,10 @@ class Link {
   /// Flight-recorder instant for a dropped packet (no-op when the
   /// simulator carries no trace recorder).
   void trace_drop(const Packet& p, const char* reason);
+  /// Set this link's dirty flag. A plain byte store on the packet path: no
+  /// branch, and no read-modify-write chaining consecutive links through
+  /// one shared word.
+  void mark_dirty() noexcept { *dirty_flag_ = 1; }
 
   sim::Simulator& sim_;
   LinkId id_;
@@ -202,12 +219,14 @@ class Link {
   /// because the propagation delay is constant, so one timer (for the head)
   /// suffices and the per-packet closure never captures the packet itself.
   util::Ring<std::pair<sim::Time, Packet>> inflight_;
-  bool delivery_armed_ = false;
   std::int64_t queued_bytes_ = 0;
   std::int64_t interval_arrived_bytes_ = 0;
+  std::uint8_t* dirty_flag_ = &unbound_dirty_flag_;
   std::int32_t fluid_flows_ = 0;
   bool transmitting_ = false;
+  bool delivery_armed_ = false;
   bool up_ = true;
+  std::uint8_t unbound_dirty_flag_ = 0;
 
   DeliverFn deliver_;
   LinkStats stats_;

@@ -1,5 +1,7 @@
 #include "net/network.h"
 
+#include <algorithm>
+#include <cstring>
 #include <deque>
 #include <utility>
 
@@ -33,6 +35,31 @@ LinkId Network::add_link(NodeId a, NodeId b, sim::BitRate capacity,
   raw->set_deliver([this, to = b](Packet&& p) { forward(std::move(p), to); });
   out_links_[a.index()].push_back(id);
   return id;
+}
+
+void Network::track_dirty_links() {
+  dirty_links_.assign((links_.size() + 63) / 64 * 64, 0);
+  for (std::size_t l = 0; l < links_.size(); ++l)
+    links_[l]->bind_dirty_flag(&dirty_links_[l]);
+}
+
+void Network::take_dirty_links(std::vector<std::uint64_t>& into) {
+  const std::size_t words = std::min(into.size(), dirty_links_.size() / 64);
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint8_t* flags = &dirty_links_[w * 64];
+    std::uint64_t any = 0;
+    for (std::size_t i = 0; i < 64; i += 8) {
+      std::uint64_t chunk;
+      std::memcpy(&chunk, flags + i, sizeof chunk);
+      any |= chunk;
+    }
+    if (any == 0) continue;  // an idle fabric costs 8 loads per 64 links
+    std::uint64_t bits = 0;
+    for (std::size_t b = 0; b < 64; ++b)
+      bits |= std::uint64_t{flags[b]} << b;  // flags are 0 or 1
+    into[w] |= bits;
+    std::memset(flags, 0, 64);
+  }
 }
 
 std::pair<LinkId, LinkId> Network::add_duplex(NodeId a, NodeId b,

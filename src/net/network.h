@@ -6,6 +6,7 @@
 // ties). Packets are forwarded hop-by-hop through drop-tail links.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -111,6 +112,17 @@ class Network {
 
   [[nodiscard]] sim::Simulator& sim() noexcept { return sim_; }
 
+  // --- dirty-link set (docs/perf.md, "Active-link control tick") ---------
+  /// One flag per link, set by the link itself whenever a switch counter
+  /// the rate allocator reads changes. track_dirty_links() (re)binds every
+  /// link to a cleared flag; call it once the topology is final. The
+  /// network's one rate allocator is the only reader: a second reader
+  /// would miss the flags the first one took.
+  void track_dirty_links();
+  /// OR the set flags into `into` (a bitset over link ids, 64 links per
+  /// word) and clear them.
+  void take_dirty_links(std::vector<std::uint64_t>& into);
+
  private:
   std::size_t checked(NodeId id) const {
     if (!id.valid() || id.index() >= nodes_.size())
@@ -130,6 +142,9 @@ class Network {
   /// pinned_[flow][at-node] = outgoing link (source-routed flows)
   std::unordered_map<FlowId, std::unordered_map<NodeId, LinkId>> pinned_;
   bool routes_built_ = false;
+  /// Flag (0 or 1) per link, padded to whole 64-link words so
+  /// take_dirty_links() can test a word's flags with eight loads.
+  std::vector<std::uint8_t> dirty_links_;
 };
 
 }  // namespace scda::net
