@@ -1,14 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // and the SCDA control plane: event queue churn, rate-metric math, a full
 // allocator tick (on the 498-link tree and on a k=32 fat-tree), the
-// hierarchy max-min pass, FES dispatch, packet forwarding and topology
-// construction.
+// admission-time fluid re-rate, the hierarchy max-min pass, FES dispatch,
+// packet forwarding and topology construction.
 #include <benchmark/benchmark.h>
 
 #include "core/hierarchy.h"
 #include "core/path_selector.h"
 #include "core/water_filling.h"
 #include "net/fat_tree.h"
+#include "transport/fluid.h"
 #include "transport/transport_manager.h"
 #include "core/name_node.h"
 #include "core/rate_allocator.h"
@@ -223,6 +224,48 @@ void BM_AllocatorTickFatTree(benchmark::State& state) {
                           static_cast<std::int64_t>(ft.net().link_count()));
 }
 BENCHMARK(BM_AllocatorTickFatTree)->Arg(0)->Arg(2500);
+
+void BM_FluidAdmissionRerate(benchmark::State& state) {
+  // What Cloud does on every admission with the fluid engine on: refresh
+  // every registered flow's r_j from the current link rates, then re-rate
+  // every fluid flow from it (advance, new rate, completion moved). Storage
+  // tree of the storage_churn workload (4 agg x 4 ToR x 8 servers, 64
+  // clients, X = 1 Gbps) with `n` client->server flows far from done; the
+  // clock steps 1 us per iteration so each re-rate integrates bytes. Items
+  // are flows re-rated.
+  const auto flows = static_cast<int>(state.range(0));
+  sim::Simulator sim(1);
+  net::TopologyConfig tc;
+  tc.n_agg = 4;
+  tc.tors_per_agg = 4;
+  tc.servers_per_tor = 8;
+  tc.n_clients = 64;
+  tc.base_bps = sim::BitRate{1e9};
+  net::ThreeTierTree topo(sim, tc);
+  core::ScdaParams params;
+  core::RateAllocator alloc(topo.net(), params);
+  transport::FluidEngine fluid(topo.net());
+  sim::Rng rng(2);
+  const auto n_servers = static_cast<std::int64_t>(topo.servers().size());
+  for (int f = 0; f < flows; ++f) {
+    const auto c = static_cast<std::size_t>(rng.uniform_int(0, 63));
+    const auto s = static_cast<std::size_t>(rng.uniform_int(0, n_servers - 1));
+    const net::FlowId id{f};
+    alloc.register_flow(id, topo.clients()[c], topo.servers()[s]);
+    fluid.start(id, std::int64_t{1} << 50, sim::BitRate{},
+                topo.net().path(topo.clients()[c], topo.servers()[s]));
+  }
+  alloc.tick();
+  for (auto _ : state) {
+    sim.run_until(sim.now() + sim::secs(1e-6));
+    alloc.refresh_flow_rates();
+    fluid.rerate_all(core::RateAllocator::RateCursor(alloc),
+                     /*epoch=*/false);
+    benchmark::DoNotOptimize(fluid.stats().rerates);
+  }
+  state.SetItemsProcessed(state.iterations() * flows);
+}
+BENCHMARK(BM_FluidAdmissionRerate)->Arg(300);
 
 void BM_HierarchyUpdate(benchmark::State& state) {
   sim::Simulator sim(1);

@@ -101,11 +101,7 @@ Cloud::Cloud(sim::Simulator& sim, CloudConfig cfg)
     // Fluid re-rate on every RA epoch: the allocator's end-of-tick hook
     // fires after all allocations settle, so fluid flows integrate their
     // old rate up to the epoch and continue at the fresh r_j.
-    allocator_.set_epoch_callback([this] {
-      transports_.fluid().rerate_all(
-          [this](net::FlowId id) { return allocator_.flow_rate(id); },
-          /*epoch=*/true);
-    });
+    allocator_.set_epoch_callback([this] { rerate_fluid(/*epoch=*/true); });
   }
 
   // Control loop: RM/RA computation every tau (sections IV and VI).
@@ -965,9 +961,7 @@ net::FlowId Cloud::start_data_flow(net::NodeId src, net::NodeId dst,
   if (cfg_.fluid.enabled) {
     // Post-admission re-rate for fluid flows (covers the new flow too):
     // the non-epoch analogue of update_ongoing_flows() below.
-    transports_.fluid().rerate_all(
-        [this](net::FlowId id) { return allocator_.flow_rate(id); },
-        /*epoch=*/false);
+    rerate_fluid(/*epoch=*/false);
   }
   transports_.record(handles.id).reserved = reserved;
   update_ongoing_flows();
@@ -1374,11 +1368,15 @@ void Cloud::propagate_rate_changes() {
   // must re-rate immediately — fluid flows would otherwise integrate a
   // stale rate across a dead link until the next RA epoch.
   allocator_.refresh_flow_rates();
-  if (cfg_.fluid.enabled)
-    transports_.fluid().rerate_all(
-        [this](net::FlowId id) { return allocator_.flow_rate(id); },
-        /*epoch=*/false);
+  if (cfg_.fluid.enabled) rerate_fluid(/*epoch=*/false);
   if (cfg_.transport == TransportKind::kScda) update_ongoing_flows();
+}
+
+void Cloud::rerate_fluid(bool epoch) {
+  // The fluid engine asks in ascending flow id, the order of the
+  // allocator's index, so a forward cursor answers each query without a
+  // binary search, with exactly flow_rate()'s value.
+  transports_.fluid().rerate_all(RateAllocator::RateCursor(allocator_), epoch);
 }
 
 void Cloud::enqueue_repair(ContentId id) {

@@ -412,6 +412,9 @@ class Cloud {
   void rollback_partial_store(const CloudOp& op);
   /// Push refreshed allocations to senders and the fluid engine.
   void propagate_rate_changes();
+  /// Re-rate every fluid flow from the allocator's current r_j (RA epoch,
+  /// admission, topology change).
+  void rerate_fluid(bool epoch);
 
   /// The authoritative metadata map for `id`: the shard's primary unless
   /// failover handed authority to the standby. Falls back to the primary

@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -123,6 +124,29 @@ class RateAllocator {
   void set_link_up(net::LinkId l, bool up);
   /// The flow's current end-to-end allocation r_j.
   [[nodiscard]] sim::BitRate flow_rate(net::FlowId id) const;
+
+  /// flow_rate() for a caller that asks in ascending flow-id order (the
+  /// fluid engine's re-rate walk): instead of a binary search per query,
+  /// a row index moves forward through the sorted flow index, so a whole
+  /// walk costs O(flows) in total. Each answer is exactly flow_rate(id):
+  /// the same rate_ element on a match, 0 for an unregistered id. Valid
+  /// while no flow registers or unregisters; queries must not decrease.
+  class RateCursor {
+   public:
+    explicit RateCursor(const RateAllocator& a) noexcept : a_(&a) {}
+    [[nodiscard]] sim::BitRate operator()(net::FlowId id) noexcept {
+      const std::vector<IndexEntry>& idx = a_->by_id_;
+      assert((row_ == 0 || !(id < idx[row_ - 1].id)) &&
+             "RateCursor: queries must not decrease");
+      while (row_ < idx.size() && idx[row_].id < id) ++row_;
+      if (row_ == idx.size() || idx[row_].id != id) return sim::BitRate{};
+      return a_->rate_[idx[row_].slot];
+    }
+
+   private:
+    const RateAllocator* a_;
+    std::size_t row_ = 0;
+  };
 
   /// Rate a *new* unit-weight flow would get along src->dst right now:
   /// min over the path of the per-link rates (the value the NNS asks the

@@ -15,7 +15,9 @@
 // common RTO-after-ACK case — is an O(1) generation-mismatch no-op and
 // leaves no residue. Slots are recycled through a free list, so steady
 // schedule/fire churn performs no allocation once the pool has grown to
-// the peak number of concurrently pending events.
+// the peak number of concurrently pending events. A moving deadline (a
+// fluid flow's completion) is re-keyed in place with move(): one sift
+// instead of a removal, a slot release and a fresh schedule.
 #pragma once
 
 #include <cassert>
@@ -96,6 +98,39 @@ class EventQueue {
     ++stats_.cancelled;
   }
 
+  /// Move a pending event to absolute time `t` in place: it keeps its slot
+  /// and callback, and its heap entry sifts up or down from where it sits.
+  /// A move counts as the cancel + schedule it replaces. The event takes a
+  /// fresh sequence number, so equal-time ties break as if it had just been
+  /// scheduled; its generation is bumped, so `h` goes stale; `cancelled`,
+  /// `scheduled` and the callback-storage counter each grow by one. Slot,
+  /// free list, heap_hwm and pool size are what cancel(h) followed by
+  /// schedule(t, <the same callback>) would leave; only the heap layout
+  /// differs, and (time, seq) orders the pops the same way.
+  ///
+  /// Returns the new handle. A handle that is not pending returns an
+  /// invalid handle and leaves the caller to schedule afresh; a valid but
+  /// stale one is counted in `stale_cancels`, as cancel(h) would count it.
+  [[nodiscard]] EventHandle move(EventHandle h, Time t) {
+    if (!h.valid() || h.slot >= meta_.size()) return EventHandle{};
+    const std::uint32_t s = h.slot;
+    if (meta_[s].gen != h.gen || pos_[s] == kNull) {
+      ++stats_.stale_cancels;
+      return EventHandle{};
+    }
+    ++meta_[s].gen;
+    ++stats_.cancelled;
+    count_schedule(s);
+    const Entry e{t, ++next_seq_, s};
+    const std::size_t pos = pos_[s];
+    if (pos > 0 && e.before(heap_[(pos - 1) / kArity])) {
+      sift_up_from(pos, e);
+    } else {
+      sift_down_from(pos, e);
+    }
+    return EventHandle{s, meta_[s].gen};
+  }
+
   /// True when no pending events remain. O(1): cancelled events are
   /// removed eagerly, so the heap never holds dead entries.
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
@@ -138,18 +173,23 @@ class EventQueue {
   static constexpr std::size_t kArity = 2;
 
   EventHandle finish_schedule(Time t, std::uint32_t s) {
+    count_schedule(s);
+    const auto pos = static_cast<std::uint32_t>(heap_.size());
+    pos_[s] = pos;
+    heap_.push_back(Entry{t, ++next_seq_, s});
+    sift_up(pos);
+    if (heap_.size() > stats_.heap_hwm) stats_.heap_hwm = heap_.size();
+    return EventHandle{s, meta_[s].gen};
+  }
+
+  /// Schedule-side counters for the callback now in slot `s`.
+  void count_schedule(std::uint32_t s) noexcept {
     if (cbs_[s].on_heap()) {
       ++stats_.callbacks_heap;
     } else {
       ++stats_.callbacks_inline;
     }
-    const auto pos = static_cast<std::uint32_t>(heap_.size());
-    pos_[s] = pos;
-    heap_.push_back(Entry{t, ++next_seq_, s});
-    sift_up(pos);
     ++stats_.scheduled;
-    if (heap_.size() > stats_.heap_hwm) stats_.heap_hwm = heap_.size();
-    return EventHandle{s, meta_[s].gen};
   }
 
   /// Heap entry: sort key inline (comparisons never leave the heap array).
@@ -241,6 +281,25 @@ class EventQueue {
       if (!e.before(heap_[parent])) break;
       place(pos, heap_[parent]);
       pos = parent;
+    }
+    place(pos, e);
+  }
+
+  /// Sift `e` down starting from the hole at `pos` (heap_[pos] is not
+  /// read): promote the smaller child while it orders before `e`.
+  void sift_down_from(std::size_t pos, const Entry e) {
+    const std::size_t n = heap_.size();
+    for (;;) {
+      const std::size_t first = pos * kArity + 1;
+      if (first >= n) break;
+      const std::size_t last = first + kArity < n ? first + kArity : n;
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < last; ++c) {
+        if (heap_[c].before(heap_[best])) best = c;
+      }
+      if (!heap_[best].before(e)) break;
+      place(pos, heap_[best]);
+      pos = best;
     }
     place(pos, e);
   }

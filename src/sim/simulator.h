@@ -82,13 +82,20 @@ class Simulator {
 
   void cancel(EventHandle h) { queue_.cancel(h); }
 
-  /// Cancel-and-rearm in one call: the moving-deadline idiom (fluid flow
-  /// completions, RTO restarts). Cancelling a stale or invalid handle is a
-  /// no-op, so callers can pass the previous handle unconditionally.
+  /// Move-or-arm in one call: the moving-deadline idiom (fluid flow
+  /// completions). A pending `h` is moved to `t` in place and keeps the
+  /// callback it was scheduled with (EventQueue::move; `f` is not used);
+  /// a stale or invalid `h` is replaced by `f` scheduled at `t`. Either way
+  /// the queue's counters read as cancel(h) + schedule_at(t, f), so callers
+  /// pass the previous handle unconditionally, with the same callable.
   template <typename F>
   [[nodiscard]] EventHandle reschedule_at(EventHandle h, Time t, F&& f) {
-    queue_.cancel(h);
-    return schedule_at(t, std::forward<F>(f));
+    if (t < now_) {
+      throw std::invalid_argument("reschedule_at: time in the past");
+    }
+    const EventHandle moved = queue_.move(h, t);
+    if (moved.valid()) return moved;
+    return queue_.schedule(t, std::forward<F>(f));
   }
 
   /// Run until the queue drains or the clock passes `until`.

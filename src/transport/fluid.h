@@ -12,11 +12,13 @@
 //
 //     t_done = now + remaining_bits / rate + one_way_path_latency
 //
-// rearmed through Simulator::reschedule_at each time the rate moves. A
-// k=32 fat-tree run costs O(flows x epochs) events instead of O(bytes) —
-// the flowsim idiom (replicant-opera's Link::GetRatePerFlow), upgraded to
-// SCDA's water-filled allocations. See docs/fluid_engine.md for the
-// semantics and the fluid-vs-packet tolerance model.
+// moved in place through Simulator::reschedule_at each time the rate
+// moves (the event keeps its pool slot and callback; only its key and
+// heap position change). A k=32 fat-tree run costs O(flows x epochs)
+// events instead of O(bytes) — the flowsim idiom (replicant-opera's
+// Link::GetRatePerFlow), upgraded to SCDA's water-filled allocations. See
+// docs/fluid_engine.md for the semantics and the fluid-vs-packet
+// tolerance model.
 //
 // Links are charged byte deltas at every advance (Link::add_fluid_bytes),
 // so utilization, power integration and the RM/RA L(t) counter see fluid
@@ -83,9 +85,10 @@ class FluidEngine {
   /// event is cancelled until a later re-rate revives it.
   void set_rate(net::FlowId id, sim::BitRate rate);
 
-  /// Re-rate every active flow in ascending-id order from `rate_of`
-  /// (typically RateAllocator::flow_rate). `epoch` marks RA-epoch rounds
-  /// in the stats; admission re-rates pass false.
+  /// Re-rate every active flow from `rate_of`, called once per flow in
+  /// ascending-id order: a forward cursor such as RateAllocator::RateCursor
+  /// serves it without a search per flow. `epoch` marks RA-epoch rounds in
+  /// the stats; admission re-rates pass false.
   void rerate_all(const std::function<sim::BitRate(net::FlowId)>& rate_of,
                   bool epoch);
 
@@ -124,7 +127,8 @@ class FluidEngine {
   /// integer byte delta to every path link.
   void advance(std::uint32_t slot);
   /// (Re)schedule the completion event from the current remaining bytes
-  /// and rate; cancels it when the rate is zero.
+  /// and rate (a pending event is moved in place); cancels it when the
+  /// rate is zero.
   void arm_completion(net::FlowId id, std::uint32_t slot);
   void complete(net::FlowId id);
 

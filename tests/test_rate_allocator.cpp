@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -331,6 +332,41 @@ TEST_F(RateAllocatorTest, SlotRecyclingSurvivesChurn) {
   EXPECT_FALSE(alloc.has_flow(net::FlowId{197}));
   EXPECT_TRUE(alloc.has_flow(net::FlowId{199}));
   EXPECT_GT(alloc.flow_rate(net::FlowId{200}).bps(), 0.0);
+}
+
+TEST_F(RateAllocatorTest, RateCursorMatchesFlowRateOnAscendingQueries) {
+  // The cursor must answer exactly flow_rate(id) for any non-decreasing
+  // query sequence: registered ids, ids never registered, unregistered
+  // ids, repeated ids and ids past the last registered one.
+  auto alloc = make();
+  for (std::int64_t id = 2; id <= 40; id += 2) {
+    const double priority = 1.0 + static_cast<double>(id % 5);
+    if (id % 4 == 0) {
+      alloc.register_flow(net::FlowId{id}, a_, b_, priority);
+    } else {
+      alloc.register_flow(net::FlowId{id}, a_, m_, priority);
+    }
+  }
+  for (std::int64_t id = 6; id <= 40; id += 6)
+    alloc.unregister_flow(net::FlowId{id});
+  settle(alloc);
+
+  std::vector<double> distinct;
+  for (const std::int64_t step : {1, 2, 3, 7}) {
+    RateAllocator::RateCursor cursor(alloc);
+    for (std::int64_t id = 0; id <= 45; id += step) {
+      const net::FlowId f{id};
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        const double got = cursor(f).bps();
+        EXPECT_EQ(got, alloc.flow_rate(f).bps())
+            << "id " << id << " step " << step;
+        if (got > 0 &&
+            std::find(distinct.begin(), distinct.end(), got) == distinct.end())
+          distinct.push_back(got);
+      }
+    }
+  }
+  EXPECT_GE(distinct.size(), 3u);  // the rates really differ per flow
 }
 
 // --- metric-kind sweep: both variants converge on the basics ---------------
